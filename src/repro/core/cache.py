@@ -32,8 +32,6 @@ is recorded in ``BENCH_cache.json`` by ``benchmarks/test_cache_kernel.py``.
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -63,35 +61,6 @@ __all__ = [
 HIT_SELECTION = ("smallest", "mru", "first")
 CANDIDATE_ORDER = ("distance", "insertion", "random")
 EVICTION = ("lru", "fifo", "size")
-
-
-def _resolve_scratch_mb(scratch_mb) -> float:
-    """Validate the kernel scratch budget (MiB), honoring the environment.
-
-    ``None`` falls back to ``REPRO_SCRATCH_MB`` and then to the 32 MiB
-    default.  The budget only sizes batched-kernel temporaries — results
-    are bit-identical at any budget via chunking — but a sub-MiB budget
-    would shred every kernel into per-row slivers, so 1 MiB is the floor.
-    """
-    if scratch_mb is None:
-        env = os.environ.get("REPRO_SCRATCH_MB")
-        if env is None:
-            return 32.0
-        try:
-            scratch_mb = float(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SCRATCH_MB must be a number, got {env!r}"
-            ) from None
-    try:
-        scratch_mb = float(scratch_mb)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"scratch_mb must be a number, got {scratch_mb!r}"
-        ) from None
-    if not math.isfinite(scratch_mb) or scratch_mb < 1.0:
-        raise ValueError(f"scratch_mb must be >= 1 (MiB), got {scratch_mb}")
-    return scratch_mb
 
 
 class _Universe:
@@ -467,16 +436,6 @@ class LandlordCache:
             bit-identical, so it is *not* part of
             :meth:`policy_snapshot` and snapshots restore across
             engines.
-        prefilter: let the vectorized engine narrow full merge scans to
-            the exact count window (and probe its internal LSH) before
-            popcounting — another pure performance knob; decisions stay
-            bit-identical with it on or off (the default is on).  The
-            naive engine ignores it.
-        scratch_mb: budget in MiB for the vectorized engine's batched
-            kernel temporaries (``--scratch-mb`` on the CLI).  ``None``
-            reads ``REPRO_SCRATCH_MB`` and defaults to 32.  Kernels chunk
-            to the budget, so any value >= 1 yields bit-identical
-            results; smaller budgets just run more, smaller chunks.
     """
 
     def __init__(
@@ -499,8 +458,6 @@ class LandlordCache:
         tracer=None,
         slo=None,
         engine: str = "vectorized",
-        prefilter: bool = True,
-        scratch_mb: Optional[float] = None,
     ):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
@@ -537,13 +494,6 @@ class LandlordCache:
         if engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.engine = engine
-        # Read by VectorizedEngine.bind(); a pure performance knob like
-        # ``engine`` itself (decisions are bit-identical either way), so
-        # not part of policy_snapshot().
-        self.engine_prefilter = bool(prefilter)
-        # Batched-kernel temporary budget in MiB (also read at bind time;
-        # chunking keeps results bit-identical at any budget).
-        self.engine_scratch_mb = _resolve_scratch_mb(scratch_mb)
         # The governor of the most recent submit_batch(batch_size="auto")
         # call, for /statusz and the dashboard (None until one runs).
         self.last_batch_governor = None
@@ -1140,7 +1090,6 @@ class LandlordCache:
         mask: int,
         n_request: int,
         signature: Optional[MinHashSignature],
-        indices: Optional[np.ndarray] = None,
     ) -> List[Tuple[float, CachedImage]]:
         """All cached images with exact d_j < alpha, with their distances."""
         if self._lsh is not None and signature is not None:
@@ -1155,7 +1104,7 @@ class LandlordCache:
         else:
             pool_ids = None
         out, examined = self._engine.scan_candidates(
-            mask, n_request, self.alpha, pool_ids, indices=indices
+            mask, n_request, self.alpha, pool_ids
         )
         self.stats.candidates_examined += examined
         return out
@@ -1243,14 +1192,10 @@ class LandlordCache:
         examined_before = self.stats.candidates_examined
         if ins is not None:
             t0 = perf_counter()
-            candidates = self._merge_candidates(
-                mask, n_request, signature, indices
-            )
+            candidates = self._merge_candidates(mask, n_request, signature)
             ins.candidate_probe_s.observe(perf_counter() - t0)
         else:
-            candidates = self._merge_candidates(
-                mask, n_request, signature, indices
-            )
+            candidates = self._merge_candidates(mask, n_request, signature)
         examined = self.stats.candidates_examined - examined_before
         if ins is not None:
             ins.candidates.inc(examined)

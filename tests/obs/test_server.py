@@ -111,6 +111,13 @@ class TestEndpoints:
             "low-cache-efficiency", "eviction-storm",
         ]
         assert payload["alerts_firing"] == []
+        # The vectorized engine's merge-scan counters: exactly these
+        # keys, and every miss past the first ran a counted merge scan.
+        lifetime = payload["lifetime"]
+        assert lifetime["merges"] + lifetime["inserts"] > 1
+        prefilter = payload["engine"]["prefilter"]
+        assert set(prefilter) == {"windowed", "full", "rows_scanned"}
+        assert prefilter["windowed"] + prefilter["full"] > 0
 
     def test_traces_404_without_tracer(self, served):
         server, url = served
