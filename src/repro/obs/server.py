@@ -24,6 +24,14 @@ blocks on a scraper:
   is attached, the per-stage span waterfalls
   (``repro-landlord trace`` consumes exactly this).
 
+Every HTTP endpoint in the package -- this server, the service daemon
+and the telemetry collector -- runs the one handler defined here
+(:func:`bind_http`); the daemon and the collector only add POST routes
+(:attr:`ObsServer.post_routes`), read through one body reader (411 /
+413 / 400).  Each reply leaves as a single write on a ``TCP_NODELAY``
+socket: a reply split across two segments would otherwise sit behind
+Nagle until the client's delayed ACK, about 40 ms per request.
+
 The server only ever *reads* shared state.  Scrapes race the request
 loop benignly under the GIL for scalar reads; an optional ``lock`` can
 serialise scrape rendering against mutation for callers that want
@@ -33,7 +41,9 @@ applying requests).
 
 from __future__ import annotations
 
+import io
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic
@@ -45,7 +55,12 @@ from repro.obs.metrics import (
     PROMETHEUS_CONTENT_TYPE,
 )
 
-__all__ = ["ObsServer", "build_status"]
+__all__ = ["MAX_BODY_BYTES", "ObsServer", "bind_http", "build_status"]
+
+#: Reject POST bodies larger than this (a spec or a telemetry push is a
+#: small JSON document -- anything bigger is a client bug, not a
+#: workload).
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 def build_status(cache, slo=None, alerts=None, extra: Optional[dict] = None) -> dict:
@@ -173,6 +188,11 @@ class ObsServer:
         self._thread: Optional[threading.Thread] = None
         self._started_at: Optional[float] = None
         self.scrapes = 0
+        #: ``{path: route}`` POST table (empty: GET-only).  A route
+        #: takes the parsed JSON body and the request headers and
+        #: returns ``(status, json_reply)``; the daemon and the
+        #: telemetry collector register theirs here.
+        self.post_routes: Dict[str, Callable] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -197,11 +217,7 @@ class ObsServer:
         """Bind and serve from a daemon thread; returns the bound port."""
         if self._httpd is not None:
             raise RuntimeError("server already started")
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), handler
-        )
-        self._httpd.daemon_threads = True
+        self._httpd = bind_http(self, (self._host, self._requested_port))
         self._started_at = monotonic()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
@@ -307,11 +323,10 @@ class ObsServer:
             if body is None:
                 return 404, "text/plain", "tracing not enabled\n"
             return 200, "text/plain; charset=utf-8", body
-        return (
-            404,
-            "text/plain",
-            "endpoints: /metrics /healthz /statusz /traces/<n>\n",
-        )
+        endpoints = "/metrics /healthz /statusz /traces/<n>"
+        if self.post_routes:
+            endpoints = f"POST {' '.join(self.post_routes)}; GET {endpoints}"
+        return 404, "text/plain", f"endpoints: {endpoints}\n"
 
     def _uptime(self) -> float:
         return monotonic() - self._started_at if self._started_at else 0.0
@@ -366,30 +381,101 @@ class ObsServer:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _make_handler(server: "ObsServer"):
-    """Build the request-handler class closed over one ObsServer."""
+class _Handler(BaseHTTPRequestHandler):
+    """The one request handler behind every endpoint in this package.
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    Reads its :class:`ObsServer` from the HTTP server it serves
+    (:func:`bind_http` attaches it): GETs resolve through
+    :meth:`ObsServer.render_get`, POSTs through
+    :attr:`ObsServer.post_routes`.  Each reply leaves as a single write
+    (buffered ``wfile`` flushed once per reply) on a ``TCP_NODELAY``
+    socket, so no reply waits on the client's delayed ACK.
+    """
 
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # scrapers are chatty; stay silent
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1  # buffered: headers and body go out in one write
 
-        def _reply(self, code: int, body: str, content_type: str) -> None:
-            data = body.encode("utf-8")
+    def setup(self) -> None:
+        """Disable Nagle on TCP sockets (AF_UNIX has no such option)."""
+        super().setup()
+        if self.connection.family in (socket.AF_INET, socket.AF_INET6):
+            self.connection.setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib name
+        pass  # scrapers and clients are chatty; stay silent
+
+    def _reply(self, code: int, body: str, content_type: str) -> None:
+        data = body.encode("utf-8")
+        try:
             self.send_response(code)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(data)
+            self.wfile.flush()
+        except ConnectionError:  # client went away mid-reply
+            self.close_connection = True
+            # Drop the unsent bytes: the buffered writer keeps them, and
+            # the stdlib's trailing flush (or the writer's own close)
+            # would retry and report the dead client as an error.
+            self.wfile.raw.close()
+            self.wfile = io.BytesIO()
 
-        def do_GET(self):  # noqa: N802 - stdlib casing
-            path, _, query = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            try:
-                status, content_type, body = server.render_get(path, query)
-                self._reply(status, body, content_type)
-            except BrokenPipeError:  # scraper went away mid-reply
-                pass
+    def _reply_json(self, code: int, payload: object) -> None:
+        self._reply(code, json.dumps(payload), "application/json")
 
-    return Handler
+    def _read_json(self) -> "tuple[int, object]":
+        """The POST body as ``(200, payload)``, or an error status and
+        body: 411 without a valid length, 413 past
+        :data:`MAX_BODY_BYTES` (the body is never read), 400 for bad
+        JSON."""
+        try:
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            return 411, {"error": "length required"}
+        if length > MAX_BODY_BYTES:
+            return 413, {"error": "body too large"}
+        try:
+            return 200, json.loads(self.rfile.read(length))
+        except ValueError:
+            return 400, {"error": "bad JSON body"}
+
+    def do_GET(self):  # noqa: N802 - stdlib casing
+        path, _, query = self.path.partition("?")
+        status, content_type, body = self.server.obs.render_get(
+            path.rstrip("/") or "/", query
+        )
+        self._reply(status, body, content_type)
+
+    def do_POST(self):  # noqa: N802 - stdlib casing
+        routes = self.server.obs.post_routes
+        route = routes.get(self.path.split("?", 1)[0].rstrip("/") or "/")
+        if route is None:
+            known = " ".join(routes) or "none"
+            self._reply_json(404, {"error": f"POST endpoints: {known}"})
+            return
+        status, payload = self._read_json()
+        if status == 200:
+            status, payload = route(payload, self.headers)
+        elif status != 400:  # body left unread: the connection is spent
+            self.close_connection = True
+        self._reply_json(status, payload)
+
+
+def bind_http(obs: ObsServer, address, server_class=ThreadingHTTPServer):
+    """Bind ``address`` with the shared handler serving ``obs``.
+
+    Returns the (not yet serving) threading HTTP server; call its
+    ``serve_forever`` from a thread.  ``server_class`` lets the daemon
+    bind a UNIX-domain socket with the same handler.
+    """
+    httpd = server_class(address, _Handler)
+    httpd.daemon_threads = True
+    httpd.obs = obs
+    return httpd

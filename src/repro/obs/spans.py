@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .clock import HybridClock, default_clock
 
 __all__ = [
+    "CLIENT_SPAN",
     "SERVICE_STAGES",
     "TRACEPARENT_HEADER",
     "Span",
@@ -61,6 +62,10 @@ __all__ = [
 SERVICE_STAGES: Tuple[str, ...] = (
     "admission", "queue", "fsync", "apply", "ack",
 )
+
+#: The root span a :class:`~repro.service.LandlordClient` records around
+#: one whole submit round trip (see :func:`render_waterfall`).
+CLIENT_SPAN = "client_submit"
 
 #: The HTTP header carrying trace context (W3C Trace Context shape).
 TRACEPARENT_HEADER = "traceparent"
@@ -460,6 +465,11 @@ def render_waterfall(trace: dict, width: int = 32) -> str:
           admission  |##..............................|    41us   1.3%
           queue      |..####..........................|   402us  12.5%
           ...
+
+    When the trace holds the client's :data:`CLIENT_SPAN` root, a
+    derived ``transport`` row follows: the root's time outside the
+    server-stage envelope (request out, reply back), so the stage rows
+    plus ``transport`` add up to what the client measured.
     """
     spans = trace.get("spans", [])
     total = float(trace.get("duration", 0.0))
@@ -469,21 +479,37 @@ def render_waterfall(trace: dict, width: int = 32) -> str:
         header += f"  request #{trace['request_index']}"
     header += f"  total {_fmt_seconds(total)}"
     lines = [header]
-    name_width = max([len(s["name"]) for s in spans] + [9])
-    for span in spans:
-        offset = float(span["start"]) - t0
-        duration = float(span["duration"])
-        if total > 0:
-            lo = min(width - 1, max(0, int(offset / total * width)))
-            hi = int(math.ceil((offset + duration) / total * width))
-            hi = min(width, max(hi, lo + 1))
-            share = 100.0 * duration / total
-        else:  # a zero-length trace still renders (all bars full)
-            lo, hi = 0, width
-            share = 100.0
-        bar = "." * lo + "#" * (hi - lo) + "." * (width - hi)
+    rows = [
+        (span["name"], [(float(span["start"]), float(span["duration"]))])
+        for span in spans
+    ]
+    root = next((s for s in spans if s["name"] == CLIENT_SPAN), None)
+    stages = [span for span in spans if span is not root]
+    if root is not None and stages:
+        begin = float(root["start"])
+        end = begin + float(root["duration"])
+        first = min(float(span["start"]) for span in stages)
+        last = max(
+            float(span["start"]) + float(span["duration"]) for span in stages
+        )
+        gaps = [(begin, first - begin), (last, end - last)]
+        rows.append(("transport", [gap for gap in gaps if gap[1] > 0]))
+    name_width = max([len(name) for name, _ in rows] + [9])
+    for name, segments in rows:
+        cells = ["."] * width
+        for start, duration in segments:
+            offset = start - t0
+            if total > 0:
+                lo = min(width - 1, max(0, int(offset / total * width)))
+                hi = int(math.ceil((offset + duration) / total * width))
+                hi = min(width, max(hi, lo + 1))
+            else:  # a zero-length trace still renders (all bars full)
+                lo, hi = 0, width
+            cells[lo:hi] = "#" * (hi - lo)
+        duration = sum(d for _, d in segments)
+        share = 100.0 * duration / total if total > 0 else 100.0
         lines.append(
-            f"  {span['name']:<{name_width}} |{bar}| "
+            f"  {name:<{name_width}} |{''.join(cells)}| "
             f"{_fmt_seconds(duration):>9} {share:5.1f}%"
         )
     return "\n".join(lines)

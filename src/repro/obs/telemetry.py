@@ -42,7 +42,6 @@ import threading
 import urllib.error
 import urllib.request
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (
@@ -203,6 +202,14 @@ class TelemetryAggregator:
         """Record that the run driving this aggregator has finished."""
         with self.lock:
             self._complete = True
+
+    def post(self, payload, headers=None) -> Tuple[int, dict]:
+        """The ``POST /telemetry`` route: :meth:`ingest_payload`, with a
+        malformed body answered 400."""
+        try:
+            return 200, self.ingest_payload(payload)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            return 400, {"error": str(exc)}
 
     def ingest_payload(self, payload: dict) -> dict:
         """Dispatch one ``POST /telemetry`` JSON body.
@@ -389,10 +396,7 @@ class TelemetryCollector:
             port=port,
             lock=self.aggregator.lock,
         )
-        self._host = host
-        self._requested_port = port
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self.obs.post_routes["/telemetry"] = self.aggregator.post
 
     def _status(self) -> dict:
         status = {"telemetry": self.aggregator.status()}
@@ -403,42 +407,20 @@ class TelemetryCollector:
     @property
     def port(self) -> Optional[int]:
         """The bound port once started."""
-        return self._httpd.server_address[1] if self._httpd else None
+        return self.obs.port
 
     @property
     def url(self) -> Optional[str]:
         """Base URL once started, e.g. ``http://127.0.0.1:43210``."""
-        if self._httpd is None:
-            return None
-        return f"http://{self._host}:{self.port}"
+        return self.obs.url
 
     def start(self) -> int:
         """Bind and serve from a daemon thread; returns the bound port."""
-        if self._httpd is not None:
-            raise RuntimeError("collector already started")
-        handler = _make_collector_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), handler
-        )
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-telemetry-collector",
-            daemon=True,
-        )
-        self._thread.start()
-        return self.port
+        return self.obs.start()
 
     def stop(self) -> None:
         """Shut down cleanly; idempotent."""
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        self._httpd = None
-        self._thread = None
+        self.obs.stop()
 
     def __enter__(self) -> "TelemetryCollector":
         """Context-manager start."""
@@ -448,60 +430,6 @@ class TelemetryCollector:
     def __exit__(self, *exc) -> None:
         """Context-manager clean stop."""
         self.stop()
-
-
-def _make_collector_handler(collector: "TelemetryCollector"):
-    """Build the request-handler class closed over one collector."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # workers push often; stay silent
-
-        def _reply(self, code: int, body: str, content_type: str) -> None:
-            data = body.encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def do_GET(self):  # noqa: N802 - stdlib casing
-            path, _, query = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            try:
-                status, content_type, body = collector.obs.render_get(
-                    path, query
-                )
-                self._reply(status, body, content_type)
-            except BrokenPipeError:  # scraper went away mid-reply
-                pass
-
-        def do_POST(self):  # noqa: N802 - stdlib casing
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            try:
-                if path != "/telemetry":
-                    self._reply(
-                        404, '{"error": "POST /telemetry only"}',
-                        "application/json",
-                    )
-                    return
-                try:
-                    length = int(self.headers.get("Content-Length", ""))
-                    payload = json.loads(self.rfile.read(length))
-                    ack = collector.aggregator.ingest_payload(payload)
-                except (ValueError, KeyError, IndexError, TypeError) as exc:
-                    self._reply(
-                        400, json.dumps({"error": str(exc)}),
-                        "application/json",
-                    )
-                    return
-                self._reply(200, json.dumps(ack), "application/json")
-            except BrokenPipeError:  # pusher went away mid-reply
-                pass
-
-    return Handler
 
 
 class TelemetryPusher:

@@ -25,6 +25,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.spans import (
+    CLIENT_SPAN,
     TRACEPARENT_HEADER,
     format_traceparent,
     new_span_id,
@@ -229,7 +230,7 @@ class LandlordClient:
             if status == 200:
                 if self.spans is not None:
                     self.spans.observe(
-                        "client_submit",
+                        CLIENT_SPAN,
                         start,
                         time.perf_counter() - start,
                         trace_id,

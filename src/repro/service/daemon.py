@@ -3,8 +3,8 @@
 ``repro-landlord serve`` turns the paper's per-job wrapper into a
 long-lived service: many clients POST JSON spec submissions, one
 :class:`~repro.core.cache.LandlordCache` decides.  Zero-dependency —
-the whole wire layer is :mod:`http.server`, the same idiom as
-:mod:`repro.obs.server`.
+the whole wire layer is :mod:`http.server` through the shared handler
+of :mod:`repro.obs.server`; the daemon only adds its POST routes.
 
 Pipeline (one request's life)::
 
@@ -48,25 +48,21 @@ writes a final covering snapshot, and compacts the journal.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import threading
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from repro.core.adaptive import service_governor
 from repro.obs import ObsServer, build_status, write_traces
 from repro.obs.clock import default_clock
+from repro.obs.server import bind_http
 from repro.obs.spans import SpanRecorder, new_trace_id, parse_traceparent
 from repro.obs.telemetry import TelemetryAggregator
 
 __all__ = ["LandlordDaemon"]
-
-#: Reject request bodies larger than this (a spec is a package list —
-#: anything bigger is a client bug, not a workload).
-MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _PendingSubmit:
@@ -297,6 +293,9 @@ class LandlordDaemon:
             on_scrape=self._on_scrape if registry is not None else None,
             lock=self.lock,
         )
+        self.obs.post_routes.update(
+            {"/submit": self._post_submit, "/telemetry": self.telemetry.post}
+        )
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._unix_httpd: Optional[_UnixHTTPServer] = None
         self._threads: List[threading.Thread] = []
@@ -326,15 +325,12 @@ class LandlordDaemon:
         """Bind the socket(s), start the batcher; returns the TCP port."""
         if self._httpd is not None:
             raise RuntimeError("daemon already started")
-        handler = _make_handler(self)
-        self._httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), handler
-        )
-        self._httpd.daemon_threads = True
+        self._httpd = bind_http(self.obs, (self._host, self._requested_port))
         servers = [self._httpd]
         if self._socket_path is not None:
-            self._unix_httpd = _UnixHTTPServer(self._socket_path, handler)
-            self._unix_httpd.daemon_threads = True
+            self._unix_httpd = bind_http(
+                self.obs, self._socket_path, _UnixHTTPServer
+            )
             servers.append(self._unix_httpd)
         self._batcher_thread = threading.Thread(
             target=self._batcher, name="repro-service-batcher", daemon=True
@@ -419,6 +415,17 @@ class LandlordDaemon:
         self.stop()
 
     # -- submission path ---------------------------------------------------
+
+    def _post_submit(self, payload, headers) -> Tuple[int, dict]:
+        """The ``POST /submit`` route: shape-check, then :meth:`submit`."""
+        packages = (
+            payload.get("packages") if isinstance(payload, dict) else payload
+        )
+        if not isinstance(packages, list) or not all(
+            isinstance(p, str) for p in packages
+        ):
+            return 400, {"error": 'body must be {"packages": [ids...]}'}
+        return self.submit(packages, traceparent=headers.get("traceparent"))
 
     def submit(
         self, packages: Sequence[str], traceparent: Optional[str] = None
@@ -695,92 +702,3 @@ class LandlordDaemon:
             alerts=self.alerts,
             extra=extra,
         )
-
-
-def _make_handler(daemon: "LandlordDaemon"):
-    """Build the request-handler class closed over one daemon."""
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # many clients are chatty; stay silent
-
-        def _reply(self, code: int, body: str, content_type: str) -> None:
-            data = body.encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def _reply_json(self, code: int, payload: dict) -> None:
-            self._reply(code, json.dumps(payload), "application/json")
-
-        def do_GET(self):  # noqa: N802 - stdlib casing
-            path, _, query = self.path.partition("?")
-            path = path.rstrip("/") or "/"
-            try:
-                status, content_type, body = daemon.obs.render_get(
-                    path, query
-                )
-                if status == 404 and not path.startswith("/traces"):
-                    body = (
-                        "endpoints: POST /submit /telemetry; GET /metrics "
-                        "/healthz /statusz /traces/<n>\n"
-                    )
-                self._reply(status, body, content_type)
-            except BrokenPipeError:  # client went away mid-reply
-                pass
-
-        def do_POST(self):  # noqa: N802 - stdlib casing
-            path = self.path.split("?", 1)[0].rstrip("/") or "/"
-            try:
-                if path not in ("/submit", "/telemetry"):
-                    self._reply_json(
-                        404, {"error": "POST /submit or /telemetry only"}
-                    )
-                    return
-                try:
-                    length = int(self.headers.get("Content-Length", ""))
-                except ValueError:
-                    self._reply_json(411, {"error": "length required"})
-                    return
-                if length > MAX_BODY_BYTES:
-                    self._reply_json(413, {"error": "body too large"})
-                    return
-                try:
-                    payload = json.loads(self.rfile.read(length))
-                except ValueError:
-                    self._reply_json(400, {"error": "bad JSON body"})
-                    return
-                if path == "/telemetry":
-                    try:
-                        ack = daemon.telemetry.ingest_payload(payload)
-                    except (ValueError, KeyError, IndexError, TypeError) as exc:
-                        self._reply_json(400, {"error": str(exc)})
-                        return
-                    self._reply_json(200, ack)
-                    return
-                packages = (
-                    payload.get("packages")
-                    if isinstance(payload, dict)
-                    else payload
-                )
-                if not isinstance(packages, list) or not all(
-                    isinstance(p, str) for p in packages
-                ):
-                    self._reply_json(
-                        400,
-                        {"error": 'body must be {"packages": [ids...]}'},
-                    )
-                    return
-                status, body = daemon.submit(
-                    packages,
-                    traceparent=self.headers.get("traceparent"),
-                )
-                self._reply_json(status, body)
-            except BrokenPipeError:  # client went away mid-reply
-                pass
-
-    return Handler

@@ -396,6 +396,36 @@ class TestServeHardening:
         ]
         assert leaked == []
 
+    def test_client_vanishing_before_reply_is_quiet(self, capsys):
+        # A reply is buffered and flushed once; a client that reset the
+        # connection meanwhile must cost nothing but that connection --
+        # no traceback from the stdlib's own trailing flush.
+        import socket
+        import struct
+
+        entered, release = threading.Event(), threading.Event()
+
+        def slow_status():
+            entered.set()
+            release.wait(5)
+            return {"ok": True}
+
+        with ObsServer(status_fn=slow_status) as server:
+            before = set(threading.enumerate())
+            client = socket.create_connection(("127.0.0.1", server.port))
+            client.sendall(b"GET /statusz HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert entered.wait(5)
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            client.close()  # RST: the reply has nowhere to go
+            time.sleep(0.05)
+            release.set()
+            for thread in set(threading.enumerate()) - before:
+                thread.join(5)
+            assert get(server.url + "/healthz")[0] == 200
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_serve_loop_passes_shared_lock(self, monkeypatch):
         # Pre-fix, no lock reached ObsServer (or the cache): a scrape
         # could render a half-applied request.

@@ -12,6 +12,7 @@ import pytest
 from repro.obs import MetricsRegistry
 from repro.obs.clock import FrozenClock
 from repro.obs.spans import (
+    CLIENT_SPAN,
     SERVICE_STAGES,
     Span,
     SpanRecorder,
@@ -206,6 +207,29 @@ class TestRenderWaterfall:
         ack_bar = lines[-1].split("|")[1]
         assert admission_bar.startswith("#")
         assert ack_bar.endswith("#")
+
+    def test_no_client_root_means_no_transport_row(self):
+        assert "transport" not in render_waterfall(self.build_trace())
+
+    def test_client_root_adds_transport_row(self):
+        # client_submit spans 0-2s and the stages 0.25-1.5s, so the
+        # request leg (0.25s) and reply leg (0.5s) are transport.
+        clock = FrozenClock(start=0.0)
+        rec = SpanRecorder(limit=16, clock=clock)
+        trace_id = new_trace_id()
+        rec.observe(CLIENT_SPAN, 0.0, 2.0, trace_id)
+        for i, stage in enumerate(SERVICE_STAGES):
+            rec.observe(stage, 0.25 + 0.25 * i, 0.25, trace_id)
+        text = render_waterfall(rec.traces()[0], width=8)
+        lines = text.split("\n")
+        assert "total 2.000s" in lines[0]
+        assert len(lines) == 1 + 1 + len(SERVICE_STAGES) + 1
+        transport = lines[-1]
+        assert transport.lstrip().startswith("transport")
+        assert transport.split("|")[1] == "#.....##"
+        assert "750.00ms  37.5%" in transport
+        shares = [float(line.rsplit(None, 1)[1][:-1]) for line in lines[2:]]
+        assert sum(shares) == pytest.approx(100.0, abs=0.2)
 
     def test_zero_duration_trace_still_renders(self):
         rec = SpanRecorder(limit=4, clock=FrozenClock())

@@ -8,6 +8,7 @@ observations (exactly representable, so float sums cannot blur the
 comparison the way reordered IEEE folds would).
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -289,6 +290,29 @@ class TestCollectorHTTP:
             with pytest.raises(urllib.error.HTTPError) as exc_info:
                 urllib.request.urlopen(request, timeout=10)
             assert exc_info.value.code == 404
+
+    def test_post_body_is_bounded_and_length_required(self):
+        # The collector shares the daemon's body reader: an oversize
+        # declared length is refused before a byte of body is read (the
+        # client below never sends one, so reading would hang until the
+        # timeout), and a missing length is 411, not a guessed read.
+        from repro.obs.server import MAX_BODY_BYTES
+
+        with TelemetryCollector() as collector:
+            for length, expected in ((MAX_BODY_BYTES + 1, 413), (None, 411)):
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", collector.port, timeout=5
+                )
+                conn.putrequest("POST", "/telemetry")
+                if length is not None:
+                    conn.putheader("Content-Length", str(length))
+                conn.endheaders()
+                response = conn.getresponse()
+                assert response.status == expected
+                assert response.getheader("Connection") == "close"
+                assert "error" in json.loads(response.read())
+                conn.close()
+            assert collector.aggregator.status()["workers"] == {}
 
     def test_concurrent_pushers_fold_completely(self):
         snaps = [cell_snapshot(n % 3 + 1, float(n)) for n in range(12)]

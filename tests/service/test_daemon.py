@@ -2,6 +2,9 @@
 (ack-after-journal, crash replay), admission control, and the embedded
 observability surface."""
 
+import http.client
+import json
+import statistics
 import threading
 import time
 
@@ -13,10 +16,12 @@ from repro.obs import (
     AlertEngine,
     DecisionTracer,
     MetricsRegistry,
+    ObsServer,
     SloTracker,
     read_traces,
     validate_prometheus_text,
 )
+from repro.obs.telemetry import TelemetryCollector
 from repro.service import LandlordClient, LandlordDaemon, SubmitRejected
 from repro.service.daemon import _PendingSubmit
 
@@ -369,6 +374,32 @@ class TestDistributedTracing:
         # acceptance tolerance from the issue).
         assert stage_sum <= root.duration * 1.25 + 0.01
 
+    def test_waterfall_transport_row_closes_the_client_sum(self, tmp_path):
+        from repro.obs.spans import (
+            CLIENT_SPAN,
+            SERVICE_STAGES,
+            render_waterfall,
+        )
+
+        daemon = make_daemon(tmp_path)
+        with daemon:
+            # the client records its root span into the daemon's own
+            # recorder, so one trace holds both sides
+            client = LandlordClient(daemon.url, spans=daemon.spans)
+            reply = client.submit(["p3", "p4"])
+            client.close()
+        trace = daemon.spans.trace(reply["trace_id"])
+        root = next(s for s in trace["spans"] if s["name"] == CLIENT_SPAN)
+        # the root is the envelope (wall-clock floats: 1 us tolerance)
+        assert trace["duration"] == pytest.approx(root["duration"], abs=1e-6)
+        lines = render_waterfall(trace).split("\n")
+        names = [line.split()[0] for line in lines[1:]]
+        assert names == [CLIENT_SPAN, *SERVICE_STAGES, "transport"]
+        shares = [float(line.rsplit(None, 1)[1][:-1]) for line in lines[2:]]
+        # stages + transport add up to the client's round trip, up to
+        # per-row rounding and the handler's few steps between stages
+        assert 95.0 <= sum(shares) <= 100.5, lines
+
     def test_malformed_traceparent_starts_fresh_trace(self, tmp_path):
         daemon = make_daemon(tmp_path)
         with daemon:
@@ -536,7 +567,14 @@ class TestUnixSocket:
             client = LandlordClient(f"unix:{sock}")
             reply = client.submit(["p0", "p1"])
             assert reply["action"] == "insert"
+            # keep-alive over AF_UNIX through the shared handler: the
+            # same connection carries every later request
+            conn = client._conn.sock
+            assert client.submit(["p0", "p1"])["action"] == "hit"
+            assert client.submit(["p2"])["request_index"] == 2
             assert client.health()["status"] == "ok"
+            assert client._conn.sock is conn
+            client.close()
         assert not sock.exists()  # removed on shutdown
 
     def test_stale_socket_is_replaced(self, tmp_path):
@@ -553,6 +591,41 @@ class TestUnixSocket:
             assert LandlordClient(f"unix:{sock}").submit(["p2"])[
                 "action"
             ] == "insert"
+
+
+class TestTransport:
+    """Every reply leaves as one write on a TCP_NODELAY socket, so no
+    keep-alive request waits on the client's ~40 ms delayed ACK."""
+
+    @pytest.mark.parametrize("server", ["daemon", "obs", "collector"])
+    def test_keepalive_p50_below_delayed_ack_floor(self, tmp_path, server):
+        if server == "daemon":
+            endpoint = make_daemon(tmp_path)
+            method, path = "POST", "/submit"
+            bodies = [
+                json.dumps({"packages": [f"p{i}", f"p{i + 1}"]})
+                for i in range(20)
+            ]
+        else:
+            endpoint = ObsServer() if server == "obs" else TelemetryCollector()
+            method, path, bodies = "GET", "/healthz", [None] * 20
+        with endpoint:
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", endpoint.port, timeout=10
+            )
+            samples, sock = [], None
+            for body in bodies:
+                start = time.perf_counter()
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                samples.append(time.perf_counter() - start)
+                assert response.status == 200
+                sock = sock or conn.sock
+                assert conn.sock is sock  # one keep-alive connection
+            conn.close()
+        # half the 40 ms delayed-ACK floor a split reply would pay
+        assert statistics.median(samples) < 0.020, samples
 
 
 class TestLifecycle:
