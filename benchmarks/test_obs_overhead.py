@@ -97,13 +97,26 @@ def _exemplar_cost_seconds(n: int = 200_000) -> float:
     return max(stamped - plain, 0.0) / n
 
 
-def _best_of(fn, rounds: int = 3) -> float:
-    best = float("inf")
+def _timed(fn) -> float:
+    t0 = perf_counter()
+    fn()
+    return perf_counter() - t0
+
+
+def _best_of_pairs(baseline, variant, rounds: int = 10):
+    """Best-of-``rounds`` seconds for each of two runs, interleaved.
+
+    One warm-up of each, then alternating baseline/variant rounds, so
+    host drift (frequency, noisy neighbours) lands on both sides instead
+    of on whichever block of rounds ran second.
+    """
+    baseline()
+    variant()
+    best_baseline = best_variant = float("inf")
     for _ in range(rounds):
-        t0 = perf_counter()
-        fn()
-        best = min(best, perf_counter() - t0)
-    return best
+        best_baseline = min(best_baseline, _timed(baseline))
+        best_variant = min(best_variant, _timed(variant))
+    return best_baseline, best_variant
 
 
 def test_disabled_path_overhead_under_bound():
@@ -118,8 +131,10 @@ def test_disabled_path_overhead_under_bound():
     n_requests = config.n_unique * config.repeats
 
     enabled = config.with_(collect_metrics=True, collect_slo=True)
-    disabled_s = _best_of(lambda: simulate(config, repository=repository))
-    enabled_s = _best_of(lambda: simulate(enabled, repository=repository))
+    disabled_s, enabled_s = _best_of_pairs(
+        lambda: simulate(config, repository=repository),
+        lambda: simulate(enabled, repository=repository),
+    )
     guard_s = _guard_cost_seconds()
     exemplar_s = _exemplar_cost_seconds()
 

@@ -91,23 +91,30 @@ class _Universe:
             self._sizes[idx] = size
         return idx
 
-    def mask_of(self, packages: Iterable[str]) -> Tuple[int, np.ndarray]:
+    def mask_of(self, packages: AbstractSet[str]) -> Tuple[int, np.ndarray]:
         """Return (bitmask, sorted index array) for a package set.
 
-        The bit buffer is built with vectorised scatter + ``np.packbits``;
+        Known ids resolve in one ``map`` pass over the index dict; only a
+        set with an unseen id falls back to per-id :meth:`index_of`, in
+        the same iteration order, so new ids get the same indices.  The
+        bit buffer is built with vectorised scatter + ``np.packbits``;
         tiny sets stay on a plain loop, which beats numpy's fixed call
         overhead below a few dozen elements.
         """
-        indices = sorted(self.index_of(p) for p in packages)
-        arr = np.asarray(indices, dtype=np.int64)
-        if not indices:
-            return 0, arr
+        indices = list(map(self._index.get, packages))
+        if None in indices:
+            indices = [self.index_of(p) for p in packages]
         if len(indices) < 32:
+            indices.sort()
+            arr = np.asarray(indices, dtype=np.int64)
+            if not indices:
+                return 0, arr
             buf = bytearray(indices[-1] // 8 + 1)
             for i in indices:
                 buf[i >> 3] |= 1 << (i & 7)
             return int.from_bytes(bytes(buf), "little"), arr
-        bits = np.zeros(indices[-1] + 1, dtype=np.uint8)
+        arr = np.sort(np.asarray(indices, dtype=np.int64))
+        bits = np.zeros(int(arr[-1]) + 1, dtype=np.uint8)
         bits[arr] = 1
         packed = np.packbits(bits, bitorder="little")
         return int.from_bytes(packed.tobytes(), "little"), arr
@@ -1208,8 +1215,13 @@ class LandlordCache:
                 candidates.sort(key=lambda pair: (pair[0], pair[1].id))
             elif self.candidate_order == "random":
                 self._rng.shuffle(candidates)
+            # The default policy never conflicts: skip it, and with it
+            # the id set of every candidate.  A subclass may override
+            # conflicts(), so only the exact type is skipped.
+            policy = self.conflict_policy
+            check = None if type(policy) is NoConflicts else policy.conflicts
             for pos, (distance, target) in enumerate(candidates):
-                if self.conflict_policy.conflicts(packages, target.packages):
+                if check is not None and check(packages, target.packages):
                     self.stats.conflicts_skipped += 1
                     conflicts += 1
                     if ins is not None:
@@ -1230,7 +1242,7 @@ class LandlordCache:
                             rest.id, rest_distance, rest.size, "unused"
                         ))
                 decision = self._do_merge(
-                    target, mask, indices, requested, distance,
+                    target, mask, requested, distance,
                     signature, request_index, examined, conflicts,
                 )
                 if ins is not None:
@@ -1425,7 +1437,6 @@ class LandlordCache:
         self,
         target: CachedImage,
         mask: int,
-        indices: np.ndarray,
         requested: int,
         distance: float,
         signature: Optional[MinHashSignature],
@@ -1443,7 +1454,9 @@ class LandlordCache:
 
         self._cached_bytes += new_size - target.size
         self._account_add(added)
-        merged_indices = np.union1d(target.indices, indices)
+        # ``added`` is disjoint from target.indices, so sorting their
+        # concatenation yields the unique union without a dedup pass.
+        merged_indices = np.sort(np.concatenate((target.indices, added)))
         target.mask = new_mask
         target.indices = merged_indices
         target.size = new_size

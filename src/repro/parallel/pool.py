@@ -182,39 +182,53 @@ def _execute_bounded(
     chunk_size: Optional[int] = None,
     observer_offset: int = 0,
 ) -> List[Any]:
-    """Submit chunks with a bounded in-flight window; results by index."""
+    """Submit chunks with a bounded in-flight window; results by index.
+
+    On a failure nothing new is submitted and chunks that start past the
+    failing index are cancelled, but in-flight chunks below it are
+    drained: the error names the lowest failing index, as the serial
+    path does, whatever order the workers finish in.
+    """
     chunks = _chunked(items, chunk_size or _auto_chunk(len(items), workers))
     results: List[Any] = [None] * len(items)
     total = len(items)
     done = 0
-    pending = set()
+    pending = {}  # future -> submission index of its chunk's first task
     next_chunk = 0
+    failure: Optional[Tuple[int, str]] = None
 
     def submit_one() -> None:
         nonlocal next_chunk
-        if next_chunk < len(chunks):
-            pending.add(
-                executor.submit(
-                    _run_chunk, fn, chunks[next_chunk], observer_offset
-                )
-            )
+        if failure is None and next_chunk < len(chunks):
+            chunk = chunks[next_chunk]
+            future = executor.submit(_run_chunk, fn, chunk, observer_offset)
+            pending[future] = chunk[0][0]
             next_chunk += 1
 
     for _ in range(max(1, workers * INFLIGHT_FACTOR)):
         submit_one()
     while pending:
-        finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+        finished, _ = wait(pending, return_when=FIRST_COMPLETED)
         for future in finished:
+            del pending[future]
             for index, ok, payload in future.result():
                 if not ok:
-                    for waiting in pending:
-                        waiting.cancel()
-                    raise ParallelExecutionError(labels[index], index, payload)
+                    if failure is None or index < failure[0]:
+                        failure = (index, payload)
+                    break
                 results[index] = payload
                 done += 1
                 if progress is not None:
                     progress(done, total, labels[index])
             submit_one()
+        if failure is not None:
+            for waiting, first in list(pending.items()):
+                if first > failure[0]:
+                    waiting.cancel()
+                    del pending[waiting]
+    if failure is not None:
+        index, payload = failure
+        raise ParallelExecutionError(labels[index], index, payload)
     return results
 
 
@@ -250,7 +264,8 @@ def parallel_map(
     parent as each task completes.  ``workers`` resolves via
     :func:`resolve_workers`; 1 (the library default) runs serially, and
     platforms that cannot fork/pickle fall back serially with a warning.
-    Raises :class:`ParallelExecutionError` naming the first failing task.
+    Raises :class:`ParallelExecutionError` naming the lowest-indexed
+    failing task.
     """
     items = list(items)
     if labels is None:

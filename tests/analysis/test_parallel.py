@@ -10,6 +10,8 @@ rather than silently clamped.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,13 @@ def _boom(x):
     if x == 3:
         raise RuntimeError("kaboom on three")
     return x
+
+
+def _fail_slow_then_fast(x):
+    """Index 0 fails late, index 1 fails at once: completion order lies."""
+    if x == 0:
+        time.sleep(0.3)
+    raise RuntimeError(f"failed on {x}")
 
 
 class TestRepetitionSeeds:
@@ -122,6 +131,14 @@ class TestParallelMap:
         assert err.value.label == "item-3"
         assert err.value.index == 3
         assert "kaboom on three" in str(err.value)
+
+    def test_lowest_failing_index_wins_over_completion_order(self):
+        # The serial path raises for index 0; the pool must agree even
+        # though index 1's failure reaches the parent first.
+        with pytest.raises(ParallelExecutionError) as err:
+            parallel_map(_fail_slow_then_fast, [0, 1], workers=2)
+        assert err.value.index == 0
+        assert "failed on 0" in str(err.value)
 
     def test_label_mismatch_rejected(self):
         with pytest.raises(ValueError, match="labels"):

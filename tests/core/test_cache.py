@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.cache import LandlordCache
+from repro.core.cache import CachedImage, LandlordCache
 from repro.core.events import EventKind
 from repro.core.spec import ImageSpec
-from repro.packages.conflicts import SlotConflicts
+from repro.packages.conflicts import NoConflicts, SlotConflicts
 
 SIZES = {f"p{i}": 10 for i in range(100)}
 SIZES.update({f"q{i}": 10 for i in range(100)})
@@ -216,6 +216,48 @@ class TestConflicts:
         c.request(spec("root/6.20", "gcc/8.0"))
         decision = c.request(spec("root/6.20", "geant/10.0"))
         assert decision.action is EventKind.MERGE
+
+    def test_default_policy_never_reads_image_ids(self, monkeypatch):
+        # NoConflicts ignores its arguments, so neither request() nor
+        # submit_batch() may build a candidate's id set for it.
+        def unread(self):
+            raise AssertionError("CachedImage.packages read on hot path")
+
+        monkeypatch.setattr(CachedImage, "packages", property(unread))
+        stream = [
+            spec(*(f"p{j}" for j in range(i, i + 8))) for i in range(0, 40, 2)
+        ]
+        c = cache(capacity=300, alpha=0.75)
+        for s in stream:
+            c.request(s)
+        c.submit_batch(stream + stream[-2:], batch_size=4)
+        assert c.stats.merges > 0
+        assert c.stats.hits > 0
+        assert c.stats.deletes > 0
+
+    def test_overriding_subclass_sees_every_candidate(self):
+        class Recording(NoConflicts):
+            def __init__(self):
+                self.calls = []
+
+            def conflicts(self, a, b):
+                self.calls.append((frozenset(a), frozenset(b)))
+                return True
+
+        policy = Recording()
+        c = cache(alpha=0.9, conflict_policy=policy)
+        a = spec("p0", "p1", "p2")
+        b = spec("p0", "p1", "p3")
+        c.request(a)
+        c.request(b)                       # one candidate: a's image
+        c.request(spec("p0", "p1", "p4"))  # two: a's and b's images
+        assert policy.calls == [
+            (b, a),
+            (spec("p0", "p1", "p4"), a),
+            (spec("p0", "p1", "p4"), b),
+        ]
+        assert c.stats.conflicts_skipped == 3
+        assert c.stats.inserts == 3
 
 
 class TestEviction:

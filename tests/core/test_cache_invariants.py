@@ -10,13 +10,19 @@ Whatever the request stream, α, and capacity:
 4. operation counters partition the request count;
 5. write accounting: bytes_written is the sum of insert sizes and merge
    rewrites (never less than the bytes of images currently cached... for
-   streams with no eviction).
+   streams with no eviction);
+6. image contents match a plain-set model replayed from the decisions,
+   which checks interning and the merge rewrite independently of the
+   engines (both of which share them).
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import LandlordCache
 from repro.core.events import EventKind
+from repro.packages.conflicts import NoConflicts, SlotConflicts
 
 PACKAGES = [f"p{i}" for i in range(30)]
 SIZE = {p: (i % 7 + 1) * 5 for i, p in enumerate(PACKAGES)}
@@ -118,3 +124,48 @@ def test_alpha_zero_images_are_exactly_requests(stream):
         seen.add(request)
     for img in cache.images:
         assert img.packages in seen
+
+
+# name/version ids, one version per slot within a spec; only slots 0-3
+# come in two versions, so SlotConflicts rejects some merges but not
+# most.  Specs reach past 32 packages so both interning paths (loop and
+# numpy) run.
+CLASHING_SLOTS = 4
+MODEL_SIZE = {
+    f"lib{slot}/{version}.0": (slot % 5 + 1) * 3 + version
+    for slot in range(40)
+    for version in range(2 if slot < CLASHING_SLOTS else 1)
+}
+model_specs = st.dictionaries(
+    st.integers(0, 39), st.integers(0, 1), min_size=1, max_size=40
+).map(lambda picks: frozenset(
+    f"lib{s}/{v if s < CLASHING_SLOTS else 0}.0" for s, v in picks.items()
+))
+
+
+@pytest.mark.parametrize("policy", [NoConflicts, SlotConflicts])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(model_specs, min_size=1, max_size=30), alphas, capacities)
+def test_image_contents_match_set_model(policy, stream, alpha, capacity):
+    cache = LandlordCache(
+        capacity, alpha, MODEL_SIZE.__getitem__, conflict_policy=policy()
+    )
+    model = {}
+    for request in stream:
+        decision = cache.request(request)
+        image_id = decision.image.id
+        if decision.action is EventKind.INSERT:
+            model[image_id] = set(request)
+        elif decision.action is EventKind.MERGE:
+            model[image_id] |= request
+        for gone in decision.evicted:
+            del model[gone]
+        assert request <= model[image_id]
+        assert {img.id for img in cache.images} == set(model)
+        for img in cache.images:
+            assert img.packages == model[img.id]
+            assert img.indices.dtype == np.int64
+            assert np.all(np.diff(img.indices) > 0)
+            assert np.array_equal(
+                img.indices, cache._universe.indices_of_mask(img.mask)
+            )
